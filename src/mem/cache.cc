@@ -28,7 +28,7 @@ L1Cache::L1Cache(sim::EventQueue &eq, sim::StatRegistry &stats,
     const std::uint64_t lines = params_.sizeBytes / sim::kCacheLineBytes;
     numSets_ = static_cast<std::uint32_t>(lines / params_.assoc);
     assert(numSets_ > 0 && "L1 too small for its associativity");
-    sets_.resize(numSets_, std::vector<LineInfo>(params_.assoc));
+    sets_.resize(std::size_t(numSets_) * params_.assoc);
     mshrs_.resize(params_.mshrs);
     // Reserve steady-state capacities up front: waiter lists are
     // bounded by the concurrent accesses that can merge on one line,
@@ -80,10 +80,17 @@ L1Cache::setOf(PAddr line) const
                                       numSets_);
 }
 
+std::span<L1Cache::LineInfo>
+L1Cache::waysOf(PAddr line)
+{
+    return std::span(sets_).subspan(std::size_t(setOf(line)) * params_.assoc,
+                                    params_.assoc);
+}
+
 L1Cache::LineInfo *
 L1Cache::findLine(PAddr line)
 {
-    for (auto &way : sets_[setOf(line)]) {
+    for (auto &way : waysOf(line)) {
         if (way.valid && way.tag == line)
             return &way;
     }
@@ -96,7 +103,7 @@ L1Cache::allocLine(PAddr line)
     if (LineInfo *existing = findLine(line))
         return existing; // upgrade fill: line already resident
 
-    auto &set = sets_[setOf(line)];
+    const std::span<LineInfo> set = waysOf(line);
     LineInfo *victim = nullptr;
     for (auto &way : set) {
         if (!way.valid) {
@@ -301,11 +308,6 @@ L2Cache::registerL1(L1Cache *l1)
 {
     l1s_.push_back(l1);
     assert(l1s_.size() <= 32 && "directory bitmask limited to 32 L1s");
-    // Grow the lock table past this L1's worst-case contribution to
-    // concurrent transactions (its MSHRs plus in-flight putbacks), so
-    // steady-state locking never constructs a new entry whatever the
-    // core count or MSHR depth.
-    locks_.resize(locks_.size() + 2 * l1->params_.mshrs);
     return static_cast<int>(l1s_.size()) - 1;
 }
 
@@ -316,41 +318,25 @@ L2Cache::setOf(PAddr line) const
                                       numSets_);
 }
 
-L2Cache::LockEntry *
-L2Cache::findLock(PAddr line)
-{
-    for (auto &e : locks_) {
-        if (e.inUse && e.line == line)
-            return &e;
-    }
-    return nullptr;
-}
-
-bool
+void
 L2Cache::lockLine(PAddr line, PendingReq req)
 {
-    if (LockEntry *held = findLock(line)) {
-        held->waiting.push(std::move(req));
-        return false;
-    }
-    LockEntry *free = nullptr;
-    for (auto &e : locks_) {
-        if (!e.inUse) {
-            free = &e;
-            break;
-        }
-    }
-    if (!free) {
-        locks_.emplace_back();
-        free = &locks_.back();
-    }
-    free->inUse = true;
-    free->line = line;
+    DirEntry *dir = lines_.find(line);
+    if (!dir)
+        dir = &lines_.insert(line, DirEntry{}); // not resident yet
     const std::uint32_t slot =
         reqSlots_.put(ParkedReq{line, std::move(req)});
-    eq_.scheduleAfter(params_.latency(),
-                      [this, slot] { fireProcess(slot); });
-    return true;
+    if (!dir->locked) {
+        dir->locked = true;
+        eq_.scheduleAfter(params_.latency(),
+                          [this, slot] { fireProcess(slot); });
+        return;
+    }
+    if (dir->waitHead == kNoSlot)
+        dir->waitHead = slot;
+    else
+        reqSlots_.peek(dir->waitTail).next = slot;
+    dir->waitTail = slot;
 }
 
 void
@@ -363,17 +349,18 @@ L2Cache::fireProcess(std::uint32_t slot)
 void
 L2Cache::unlockLine(PAddr line)
 {
-    LockEntry *held = findLock(line);
-    assert(held && "unlock of a line that was never locked");
-    if (held->waiting.empty()) {
-        held->inUse = false; // slot recycles for the next locked line
+    DirEntry &dir = lines_.get(line);
+    assert(dir.locked && "unlock of a line that was never locked");
+    const std::uint32_t slot = dir.waitHead;
+    if (slot == kNoSlot) {
+        dir.locked = false;
+        if (!dir.resident)
+            lines_.erase(line); // locked, but never installed
         return;
     }
-    // Hand the lock straight to the next waiter (the entry stays
-    // inUse), scheduling its processing exactly as lockLine would.
-    PendingReq next = held->waiting.popFront();
-    const std::uint32_t slot =
-        reqSlots_.put(ParkedReq{line, std::move(next)});
+    // Hand the lock straight to the next waiter (the line stays
+    // locked), scheduling its processing exactly as lockLine would.
+    dir.waitHead = reqSlots_.peek(slot).next;
     eq_.scheduleAfter(params_.latency(),
                       [this, slot] { fireProcess(slot); });
 }
@@ -395,14 +382,15 @@ L2Cache::putback(int requester, PAddr line)
 void
 L2Cache::process(PAddr line, PendingReq req)
 {
-    DirEntry *entry = lines_.find(line);
+    // The lock keeps the entry alive; a non-resident one has no owner.
+    DirEntry &dir = lines_.get(line);
 
     if (req.isPutback) {
-        if (entry && entry->owner == req.requester) {
-            entry->owner = -1;
-            entry->sharers |= 1u << req.requester;
-            entry->dirtyInL2 = true;
-            entry->lastUse = eq_.now();
+        if (dir.owner == req.requester) {
+            dir.owner = -1;
+            dir.sharers |= 1u << req.requester;
+            dir.dirtyInL2 = true;
+            dir.lastUse = eq_.now();
         }
         // Stale putbacks (owner already changed by a probe) are dropped.
         l1s_[static_cast<std::size_t>(req.requester)]
@@ -411,7 +399,7 @@ L2Cache::process(PAddr line, PendingReq req)
         return;
     }
 
-    if (entry) {
+    if (dir.resident) {
         hits_.inc();
         finishRequest(line, req);
         return;
@@ -440,10 +428,9 @@ void
 L2Cache::installLine(PAddr line, std::uint32_t slot)
 {
     ParkedReq parked = reqSlots_.take(slot);
-    DirEntry entry;
-    entry.lastUse = eq_.now();
-    entry.dirtyInL2 = parked.req.fullLine; // write-validate allocation
-    lines_.insert(line, entry);
+    DirEntry &dir = lines_.get(line);
+    dir.resident = true;
+    dir.dirtyInL2 = parked.req.fullLine; // write-validate allocation
     setFill_[setOf(line)].push_back(line);
     finishRequest(line, parked.req);
 }
@@ -460,10 +447,7 @@ L2Cache::finishRequest(PAddr line, PendingReq &req)
     if (req.write) {
         // GetM: invalidate every other copy.
         for (std::size_t i = 0; i < l1s_.size(); ++i) {
-            const std::uint32_t bit = 1u << i;
-            const bool holds = (dir.sharers & bit) ||
-                               dir.owner == static_cast<int>(i);
-            if (!holds || static_cast<int>(i) == req.requester)
+            if (!dir.holds(i) || static_cast<int>(i) == req.requester)
                 continue;
             probed = true;
             if (l1s_[i]->handleProbe(line, true)) {
@@ -472,7 +456,7 @@ L2Cache::finishRequest(PAddr line, PendingReq &req)
             }
         }
         dir.sharers = 0;
-        dir.owner = req.requester;
+        dir.owner = static_cast<std::int8_t>(req.requester);
     } else {
         // GetS: downgrade a remote owner if present.
         if (dir.owner != -1 && dir.owner != req.requester) {
@@ -517,19 +501,17 @@ L2Cache::ensureCapacity(PAddr line, std::uint32_t slot)
 
     // Evict the LRU line in the set that is not locked or awaited.
     PAddr victim = 0;
-    bool found = false;
-    sim::Tick best = 0;
+    DirEntry *vdir = nullptr;
     for (PAddr cand : fill) {
-        if (findLock(cand))
+        DirEntry &dir = lines_.get(cand);
+        if (dir.locked)
             continue;
-        const sim::Tick use = lines_.get(cand).lastUse;
-        if (!found || use < best) {
+        if (!vdir || dir.lastUse < vdir->lastUse) {
             victim = cand;
-            best = use;
-            found = true;
+            vdir = &dir;
         }
     }
-    if (!found) {
+    if (!vdir) {
         // Every line in the set is mid-transaction; retry shortly.
         eq_.scheduleAfter(params_.latency(), [this, line, slot] {
             ensureCapacity(line, slot);
@@ -538,16 +520,12 @@ L2Cache::ensureCapacity(PAddr line, std::uint32_t slot)
     }
 
     evictions_.inc();
-    DirEntry &dir = lines_.get(victim);
     // Inclusive hierarchy: back-invalidate all L1 copies.
     for (std::size_t i = 0; i < l1s_.size(); ++i) {
-        const std::uint32_t bit = 1u << i;
-        const bool holds = (dir.sharers & bit) ||
-                           dir.owner == static_cast<int>(i);
-        if (holds && l1s_[i]->handleProbe(victim, true))
-            dir.dirtyInL2 = true;
+        if (vdir->holds(i) && l1s_[i]->handleProbe(victim, true))
+            vdir->dirtyInL2 = true;
     }
-    if (dir.dirtyInL2)
+    if (vdir->dirtyInL2)
         writebackToDram(victim);
     lines_.erase(victim);
     fill.erase(std::find(fill.begin(), fill.end(), victim));
@@ -576,6 +554,47 @@ L2Cache::writebackToDram(PAddr line)
         dramRetries_.inc();
         eq_.scheduleAfter(dram_.params().busTransfer,
                           [this, line] { writebackToDram(line); });
+    }
+}
+
+void
+L2Cache::checkInvariants() const
+{
+    auto check = [this](bool ok, PAddr line, const char *what) {
+        if (!ok)
+            sim::panic(name_ + ": coherence invariant broken at line " +
+                       std::to_string(line) + ": " + what);
+    };
+    std::size_t inSets = 0;
+    for (const auto &fill : setFill_) {
+        inSets += fill.size();
+        for (const PAddr line : fill) {
+            const DirEntry *dir = lines_.find(line);
+            check(dir && dir->resident, line, "in a set but not resident");
+            check(!dir->locked && dir->waitHead == kNoSlot, line,
+                  "locked at quiescence");
+            check(dir->owner == -1 ||
+                      (dir->sharers & ~(1u << dir->owner)) == 0,
+                  line, "owner beside other sharers");
+        }
+    }
+    // Entries outside the sets are held locks or leaked unlocks.
+    if (lines_.size() != inSets)
+        sim::panic(name_ + ": " + std::to_string(lines_.size()) +
+                   " directory entries but " + std::to_string(inSets) +
+                   " lines in the sets");
+    for (std::size_t i = 0; i < l1s_.size(); ++i) {
+        for (const L1Cache::LineInfo &way : l1s_[i]->sets_) {
+            if (!way.valid)
+                continue;
+            const DirEntry *dir = lines_.find(way.tag);
+            check(dir, way.tag, "in an L1 but not in the L2");
+            check(way.state != L1Cache::State::kModified ||
+                      dir->owner == static_cast<int>(i),
+                  way.tag, "M in an L1 that is not the owner");
+            check(way.state != L1Cache::State::kShared || dir->holds(i),
+                  way.tag, "S in an L1 that is neither sharer nor owner");
+        }
     }
 }
 

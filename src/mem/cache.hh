@@ -7,7 +7,8 @@
  * inclusive L2 with a full-map directory. MESI-reduced MSI states per L1
  * line; coherence transactions serialize per line at the L2, which keeps
  * the protocol race-free while preserving the latency behaviour that
- * matters (cache-to-cache transfers for queue-pair polling).
+ * matters (cache-to-cache transfers for queue-pair polling). The lock
+ * lives in the line's directory entry (L2Cache::DirEntry).
  *
  * Functional data lives in PhysMem (see DESIGN.md); these classes model
  * timing only.
@@ -16,8 +17,8 @@
 #ifndef SONUMA_MEM_CACHE_HH
 #define SONUMA_MEM_CACHE_HH
 
-#include <coroutine>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -82,32 +83,6 @@ class L1Cache
      */
     void accessFullLineWrite(PAddr addr, sim::Callback done);
 
-    /** Awaitable wrapper for coroutine users. */
-    auto
-    accessAwait(PAddr addr, bool write)
-    {
-        struct AccessAwaiter
-        {
-            L1Cache &cache;
-            PAddr addr;
-            bool write;
-
-            bool await_ready() const noexcept { return false; }
-
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                cache.access(addr, write, [h] { h.resume(); });
-            }
-
-            void await_resume() const noexcept {}
-        };
-        return AccessAwaiter{*this, addr, write};
-    }
-
-    /** Number of in-flight MSHRs (for tests). */
-    std::size_t inflight() const { return mshrsInUse_; }
-
     const std::string &name() const { return name_; }
     std::uint64_t hits() const { return hits_.value(); }
     std::uint64_t misses() const { return misses_.value(); }
@@ -164,8 +139,8 @@ class L1Cache
     int l1Id_ = -1;
 
     std::uint32_t numSets_;
-    std::vector<std::vector<LineInfo>> sets_; //!< [set][way]
-    std::vector<Mshr> mshrs_;                 //!< fixed slots (CAM)
+    std::vector<LineInfo> sets_; //!< numSets_ x assoc ways, set-major
+    std::vector<Mshr> mshrs_;    //!< fixed slots (CAM)
     std::size_t mshrsInUse_ = 0;
     // Scratch for draining one MSHR's waiters after its slot is freed
     // (capacity persists; see handleFill).
@@ -184,6 +159,7 @@ class L1Cache
 
     static PAddr lineOf(PAddr addr) { return addr & ~PAddr(63); }
     std::uint32_t setOf(PAddr line) const;
+    std::span<LineInfo> waysOf(PAddr line);
     LineInfo *findLine(PAddr line);
     LineInfo *allocLine(PAddr line); //!< may trigger victim writeback
 
@@ -207,7 +183,8 @@ class L1Cache
 
 /**
  * Shared, inclusive L2 with a full-map directory over the attached L1s,
- * backed by a DRAM channel. Transactions serialize per line.
+ * backed by a DRAM channel. Transactions serialize per line through a
+ * lock bit and a waiter FIFO in the line's directory entry.
  */
 class L2Cache
 {
@@ -256,8 +233,13 @@ class L2Cache
     /** L1 write-back of a modified line (PutM). */
     void putback(int requester, PAddr line);
 
-    /** Total directory-tracked lines (for tests). */
-    std::size_t trackedLines() const { return lines_.size(); }
+    /**
+     * Coherence audit; call at quiescence. Panics, naming the line, if a
+     * line is locked, an entry is not resident or not in its set, an
+     * owner has co-sharers, or a valid L1 line is not covered (M: the
+     * owner; S: a sharer or the owner).
+     */
+    void checkInvariants() const;
 
     std::uint64_t hits() const { return hits_.value(); }
     std::uint64_t misses() const { return misses_.value(); }
@@ -266,13 +248,36 @@ class L2Cache
     const Params &params() const { return params_; }
 
   private:
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t(0);
+
+    /**
+     * Directory state of one line, and its transaction lock: a request
+     * holds the lock for its whole transaction, and requests that find
+     * it held queue FIFO in reqSlots_ (linked through ParkedReq::next).
+     * A line locked before it is installed has a non-resident entry,
+     * erased if the lock is released without an install. 24 bytes: the
+     * directory map is presized to 64K slots per node.
+     */
     struct DirEntry
     {
-        std::uint32_t sharers = 0; //!< bitmask over L1 ids
-        int owner = -1;            //!< L1 id holding M, or -1
-        bool dirtyInL2 = false;
         sim::Tick lastUse = 0;
+        std::uint32_t sharers = 0;        //!< bitmask over L1 ids
+        std::uint32_t waitHead = kNoSlot; //!< first queued request
+        std::uint32_t waitTail = kNoSlot; //!< last queued request
+        std::int8_t owner = -1;           //!< L1 id holding M, or -1
+        bool dirtyInL2 = false;
+        bool locked = false;
+        bool resident = false;            //!< the line occupies a way
+
+        /** True if L1 @p i holds the line, as a sharer or the owner. */
+        bool
+        holds(std::size_t i) const
+        {
+            return (sharers >> i & 1u) || owner == static_cast<int>(i);
+        }
     };
+    static_assert(sizeof(DirEntry) == 24,
+                  "DirEntry size multiplies into the presized directory");
 
     struct PendingReq
     {
@@ -290,29 +295,13 @@ class L2Cache
     std::vector<L1Cache *> l1s_;
 
     std::uint32_t numSets_;
-    // Inclusive tag+directory state, keyed by line address. A line present
-    // here is present in the L2; set occupancy enforced via setFill_.
-    // Flat map, not unordered_map: directory inserts happen on every
-    // cold line and must not churn heap nodes once the working set is
-    // resident.
+    // Inclusive tag+directory state, keyed by line address. A resident
+    // entry is a line present in the L2; set occupancy enforced via
+    // setFill_. Flat map, not unordered_map: directory inserts happen on
+    // every cold line and must not churn heap nodes once the working set
+    // is resident.
     sim::FlatMap<PAddr, DirEntry> lines_;
     std::vector<std::vector<PAddr>> setFill_; //!< lines per set (for LRU)
-
-    /**
-     * Per-line transaction serialization. Concurrently locked lines are
-     * bounded by in-flight transactions (MSHRs x L1s), so a compact
-     * linear-scanned table replaces the old unordered set+map pair,
-     * whose node churn allocated on every single transaction. Freed
-     * entries (inUse = false) are recycled; each waiting ring keeps its
-     * capacity.
-     */
-    struct LockEntry
-    {
-        bool inUse = false;
-        PAddr line = 0;
-        sim::RingBuffer<PendingReq> waiting{2};
-    };
-    std::vector<LockEntry> locks_;
 
     sim::Counter hits_;
     sim::Counter misses_;
@@ -322,20 +311,21 @@ class L2Cache
 
     /**
      * Requests parked on a scheduled event (the L2 tag latency before
-     * process(), or the probe latency before completion). As in the L1,
-     * slot storage keeps event captures at {this, slot}.
+     * process(), or the probe latency before completion) or on their
+     * line's lock. As in the L1, slot storage keeps event captures at
+     * {this, slot}.
      */
     struct ParkedReq
     {
         PAddr line = 0;
         PendingReq req;
+        std::uint32_t next = kNoSlot; //!< next waiter on the same line
     };
 
     sim::SlotPool<ParkedReq> reqSlots_;
 
     std::uint32_t setOf(PAddr line) const;
-    LockEntry *findLock(PAddr line);
-    bool lockLine(PAddr line, PendingReq req);
+    void lockLine(PAddr line, PendingReq req);
     void unlockLine(PAddr line);
     void process(PAddr line, PendingReq req);
     void fireProcess(std::uint32_t slot);

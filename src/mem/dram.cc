@@ -107,7 +107,6 @@ DramChannel::drain()
     const sim::Tick busStart = std::max(dataReady, busBusyUntil_);
     const sim::Tick busEnd = busStart + params_.busTransfer;
     busBusyUntil_ = busEnd;
-    busBusyTotal_ += params_.busTransfer;
     bank.readyAt = busEnd;
 
     latency_.sample(sim::ticksToNs(busEnd - req.arrival));
@@ -120,15 +119,6 @@ DramChannel::drain()
         // an immediate re-evaluation.
         scheduleDrain(now + params_.busTransfer);
     }
-}
-
-double
-DramChannel::busUtilization() const
-{
-    const sim::Tick now = eq_.now();
-    return now == 0 ? 0.0
-                    : static_cast<double>(busBusyTotal_) /
-                          static_cast<double>(now);
 }
 
 } // namespace sonuma::mem

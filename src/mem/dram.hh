@@ -62,12 +62,7 @@ class DramChannel
     /** True if a new request would be rejected. */
     bool full() const { return queue_.size() >= params_.queueDepth; }
 
-    std::size_t queuedRequests() const { return queue_.size(); }
-
     const DramParams &params() const { return params_; }
-
-    /** Fraction of elapsed time the data bus was busy. */
-    double busUtilization() const;
 
   private:
     struct Request
@@ -90,7 +85,6 @@ class DramChannel
     std::vector<Bank> banks_;
     std::vector<Request> queue_;
     sim::Tick busBusyUntil_ = 0;
-    sim::Tick busBusyTotal_ = 0;
     bool drainScheduled_ = false;
 
     sim::Counter reads_;

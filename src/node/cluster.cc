@@ -35,6 +35,14 @@ validate(const ClusterParams &params)
     if (params.nodes == 0)
         throw std::invalid_argument(
             "ClusterParams: nodes must be >= 1 (got 0)");
+    // The L2 directory's sharer mask has one bit per L1: one per core
+    // plus the RMC's own.
+    if (params.node.cores > 31)
+        throw std::invalid_argument(
+            "ClusterParams: cores per node must be <= 31 (got " +
+            std::to_string(params.node.cores) +
+            "); with the RMC's L1 they fill the L2 directory's 32-bit "
+            "sharer mask");
     rmc::validate(params.node.rmc);
     if (params.topology == Topology::kCrossbar &&
         params.torus.routing == fab::RoutingMode::kAdaptive)

@@ -48,9 +48,11 @@ struct ClusterParams
 
 /**
  * Eager configuration check: throws std::invalid_argument with a
- * precise message on nodes == 0 or torus dims whose product differs
- * from the node count (instead of misbehaving deep in fab::Torus
- * routing). Called by the Cluster constructor; also usable directly.
+ * precise message on nodes == 0, more than 31 cores per node (the L2
+ * directory tracks 32 L1s, the RMC's included), or torus dims whose
+ * product differs from the node count (instead of misbehaving deep in
+ * fab::Torus routing or the directory's sharer mask). Called by the
+ * Cluster constructor; also usable directly.
  */
 void validate(const ClusterParams &params);
 

@@ -49,6 +49,24 @@ TEST(ClusterParamsValidation, ZeroNodesRejected)
     EXPECT_THROW(node::Cluster cluster(sim, p), std::invalid_argument);
 }
 
+TEST(ClusterParamsValidation, CoresPerNodeFitTheSharerMask)
+{
+    using api::operator""_KiB;
+    // 31 cores + the RMC's L1 = 32 directory sharers: the limit builds.
+    api::TestBed bed(api::ClusterSpec{}.coresPerNode(31).segmentPerNode(
+        64_KiB));
+    EXPECT_EQ(bed.cluster().node(0).coreCount(), 31u);
+    // A 33rd L1 would not fit the 32-bit sharer mask.
+    try {
+        api::ClusterSpec{}.coresPerNode(32).resolve();
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("31"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("32"), std::string::npos) << msg;
+    }
+}
+
 TEST(ClusterParamsValidation, ZeroRadixAndEmptyDimsRejected)
 {
     node::ClusterParams p;

@@ -3,7 +3,8 @@
  * Tests for the coherent cache hierarchy: hit/miss timing, MSHR merging
  * and limits, upgrades, cache-to-cache transfers (the mechanism behind
  * the paper's low-latency queue-pair polling), writebacks, inclusion,
- * and probe/writeback races.
+ * and probe/writeback races. Every run to quiescence ends with the
+ * L2's coherence audit (L2Cache::checkInvariants).
  */
 
 #include <gtest/gtest.h>
@@ -45,6 +46,7 @@ struct CacheFixture : public ::testing::Test
         Tick end = 0;
         l1.access(addr, write, [&] { end = eq.now(); });
         eq.run();
+        l2.checkInvariants();
         return sim::ticksToNs(end - start);
     }
 };
@@ -116,6 +118,7 @@ TEST_F(CacheFixture, MshrMergesSameLineRequests)
     core.access(0x6000, false, [&] { ++done; });
     core.access(0x6020, false, [&] { ++done; }); // same 64 B line
     eq.run();
+    l2.checkInvariants();
     EXPECT_EQ(done, 3);
     // One transaction serves all three.
     EXPECT_EQ(stats.counter("dram.reads")->value(), 1u);
@@ -128,6 +131,7 @@ TEST_F(CacheFixture, WriteWaiterOnReadFillRetriesAsUpgrade)
     // A write to the same line while the read is outstanding.
     core.access(0x7000, true, [&] { ++done; });
     eq.run();
+    l2.checkInvariants();
     EXPECT_EQ(done, 2);
     // The line must end up writable: a further write hits.
     const double ns = timedAccess(core, 0x7000, true);
@@ -144,6 +148,7 @@ TEST_F(CacheFixture, MshrLimitBlocksExcessMisses)
         tiny.access(0x10000 + static_cast<std::uint64_t>(i) * 4096, false,
                     [&] { ++done; });
     eq.run();
+    l2.checkInvariants();
     EXPECT_EQ(done, 8); // all eventually complete
 }
 
@@ -173,7 +178,23 @@ TEST_F(CacheFixture, ProbeDuringPendingWritebackResolves)
     int rmcDone = 0;
     rmc.access(lineA, false, [&] { ++rmcDone; });
     eq.run();
+    l2.checkInvariants();
     EXPECT_EQ(rmcDone, 1);
+}
+
+TEST_F(CacheFixture, StalePutbackOfAnAbsentLineLeavesNoEntry)
+{
+    // A PutM for a line the L2 does not hold locks a non-resident
+    // directory entry; releasing that lock must erase it again, which
+    // the audit's entry count checks.
+    l2.putback(0, 0x9000);
+    eq.run();
+    l2.checkInvariants();
+    EXPECT_EQ(l2.hits() + l2.misses(), 0u);
+    // The line is still absent: a read misses to DRAM.
+    timedAccess(core, 0x9000, false);
+    EXPECT_EQ(l2.misses(), 1u);
+    EXPECT_EQ(stats.counter("dram.reads")->value(), 1u);
 }
 
 TEST_F(CacheFixture, L2EvictionBackInvalidatesL1)
@@ -190,6 +211,7 @@ TEST_F(CacheFixture, L2EvictionBackInvalidatesL1)
     auto touch = [&](std::uint64_t addr) {
         l1b.access(addr, false, [] {});
         eq2.run();
+        l2b.checkInvariants();
     };
     // 8 sets * 64 B = 512 B stride hits the same L2 set.
     for (int i = 0; i < 20; ++i)
@@ -221,6 +243,7 @@ TEST_F(CacheFixture, ConcurrentMixedTrafficCompletes)
                     });
     }
     eq.run();
+    l2.checkInvariants();
     EXPECT_EQ(done, kOps);
     // 32 distinct lines -> at most 32 cold DRAM reads.
     EXPECT_LE(stats.counter("dram.reads")->value(), 32u);

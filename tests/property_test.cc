@@ -9,6 +9,8 @@
  *    and identical memory images.
  *  - Parameterized sweeps: remote reads across request sizes and MAQ
  *    depths always complete, preserve data, and respect monotonicity.
+ *  - Every run ends with each node's L2 coherence audit
+ *    (L2Cache::checkInvariants).
  */
 
 #include <gtest/gtest.h>
@@ -29,6 +31,14 @@ using api::RmcSession;
 
 constexpr sim::CtxId kCtx = 1;
 constexpr std::uint64_t kSegBytes = 1 << 20;
+
+/** Coherence audit of every node's L2; call at quiescence. */
+void
+checkCoherence(node::Cluster &cluster)
+{
+    for (std::size_t i = 0; i < cluster.nodeCount(); ++i)
+        cluster.node(i).l2().checkInvariants();
+}
 
 struct World
 {
@@ -54,6 +64,15 @@ struct World
         cluster->node(0).driver().registerSegment(*server, kCtx, seg,
                                                   kSegBytes);
         client = &cluster->node(1).os().createProcess(0);
+    }
+
+    /** Run to quiescence, then audit coherence. */
+    sim::Tick
+    run()
+    {
+        const sim::Tick end = sim.run();
+        checkCoherence(*cluster);
+        return end;
     }
 };
 
@@ -149,7 +168,7 @@ runFuzz(std::uint64_t seed, int ops)
             }
         }
     }(&w, &golden, &session, buf, seed, ops, &mismatch));
-    w.sim.run();
+    w.run();
 
     EXPECT_FALSE(mismatch);
     // Full segment comparison at quiescence.
@@ -182,7 +201,7 @@ TEST(Determinism, SameSeedSameTimeline)
                 co_await s->read(0, (std::uint64_t(i) * 640) % 65536,
                                  buf, 64 * (1 + i % 4));
         }(&s, buf));
-        return w.sim.run();
+        return w.run();
     };
     EXPECT_EQ(run(42), run(42));
     EXPECT_NE(run(42), 0u);
@@ -219,7 +238,7 @@ TEST_P(ReadSizes, DataIntactAndLatencyOrdered)
         *measured = sim->now() - t0;
         EXPECT_TRUE(r.ok());
     }(&w.sim, &s, buf, size, &small, &measured));
-    w.sim.run();
+    w.run();
 
     std::vector<std::uint8_t> got(size);
     w.client->addressSpace().read(buf, got.data(), size);
@@ -268,7 +287,7 @@ TEST_P(MaqDepths, PipelinedReadsCompleteAtAnyDepth)
             ++*done;
         }
     }(&s, buf, &done));
-    w.sim.run();
+    w.run();
     EXPECT_EQ(done, 300);
 }
 
@@ -354,7 +373,7 @@ TEST_P(MultiQpSeeds, EveryPostedSlotCompletesExactlyOnce)
             while (!window[q].empty())
                 co_await retire(q);
     }(&s, buf, seed, &t));
-    w.sim.run();
+    w.run();
 
     // Exactly once: one completion per post, nothing left in flight,
     // and the RMC's CQ-write count agrees with the session's view.
@@ -425,7 +444,7 @@ TEST(MultiQp, PerQpFifoCompletionOrderForUniformOps)
             window.clear();
         }
     }(&s, buf, &perQp));
-    w.sim.run();
+    w.run();
 
     for (const auto &ticks : perQp) {
         ASSERT_EQ(ticks.size(), 3u * 8u);
@@ -473,7 +492,7 @@ TEST(MultiQp, DoorbellBatchingFlushReleasesAllPosts)
         EXPECT_TRUE((co_await h).ok());
         EXPECT_EQ(s->pendingDoorbells(), 0u);
     }(&s, buf, &sawAll));
-    w.sim.run();
+    w.run();
     EXPECT_TRUE(sawAll);
     EXPECT_EQ(s.outstanding(), 0u);
 }
@@ -498,7 +517,7 @@ TEST(EmulationPlatform, SameSemanticsSlowerClock)
             *rtt = sim->now() - t0;
             EXPECT_TRUE(r.ok());
         }(&w.sim, &s, buf, &rtt));
-        w.sim.run();
+        w.run();
         std::uint64_t got = 0;
         w.client->addressSpace().read(buf, &got, sizeof(got));
         EXPECT_EQ(got, 0xfeedu);
@@ -542,6 +561,7 @@ TEST(TorusCluster, RemoteReadsAcrossHops)
         *r = co_await s->read(3, 128, buf, 64);
     }(&s, buf, &result));
     sim.run();
+    checkCoherence(cluster);
     EXPECT_TRUE(result.ok());
     EXPECT_EQ(client.addressSpace().readT<std::uint64_t>(buf), 0x70517051ULL);
 }

@@ -21,7 +21,9 @@
  *    (including final tick), with and without failure injection;
  *  - zero-allocation steady state: this binary overrides operator
  *    new/delete, and after a warm-up phase the mixed workload performs
- *    0 heap allocations (the strong form of 0 allocs/event).
+ *    0 heap allocations (the strong form of 0 allocs/event);
+ *  - cache coherence: every node's L2 passes its audit
+ *    (L2Cache::checkInvariants) at quiescence after each run.
  *
  * Default soak: 10 seeds x 2 runs. SONUMA_STRESS_SEEDS=<n> extends the
  * seed range for longer soaks (ctest -L stress runs with a long
@@ -137,6 +139,14 @@ constexpr std::uint32_t kQpCount = 2;
 constexpr std::uint32_t kQpDepth = 8;
 constexpr std::uint32_t kMaxLines = 4; //!< largest op: 4 lines (256 B)
 constexpr std::uint64_t kSegBytes = 256_KiB;
+
+/** Coherence audit of every node's L2; call at quiescence. */
+void
+checkCoherence(TestBed &bed)
+{
+    for (std::uint32_t i = 0; i < bed.nodes(); ++i)
+        bed.cluster().node(i).l2().checkInvariants();
+}
 
 /** One session's driver state: per-QP FIFO windows in fixed storage. */
 struct Driver
@@ -364,6 +374,7 @@ runIteration(std::uint64_t seed, bool injectFailure, int opsPerSession,
     for (auto &d : drivers)
         bed.spawn(d.run(opsPerSession));
     bed.run();
+    checkCoherence(bed);
 
     IterationResult res;
     for (auto &d : drivers) {
@@ -758,6 +769,7 @@ TEST(SessionStress, SteadyStateIsAllocationFree)
         for (auto &b : bodies)
             bed.spawn(b.run());
         bed.run();
+        checkCoherence(bed);
         for (auto &d : drivers) {
             EXPECT_TRUE(d.done);
             EXPECT_EQ(d.s->outstanding(), 0u);
